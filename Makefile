@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet vet-metrics build test test-faults test-churn test-telemetry test-kernels test-stream test-sparse test-cluster test-probe test-alloc bench-kernels bench-stream bench-sparse bench-cluster bench-localize bench-alloc bench-smoke bench pprof-stream
+.PHONY: ci fmt vet vet-metrics build test test-stats test-faults test-churn test-telemetry test-kernels test-stream test-sparse test-cluster test-probe test-alloc bench-kernels bench-stream bench-sparse bench-cluster bench-localize bench-alloc bench-smoke bench pprof-stream
 
-ci: fmt vet vet-metrics build test test-faults test-churn test-telemetry test-kernels test-stream test-sparse test-cluster test-probe test-alloc bench-kernels bench-stream bench-sparse bench-cluster bench-localize bench-alloc bench-smoke
+ci: fmt vet vet-metrics build test test-stats test-faults test-churn test-telemetry test-kernels test-stream test-sparse test-cluster test-probe test-alloc bench-kernels bench-stream bench-sparse bench-cluster bench-localize bench-alloc bench-smoke
 
 fmt:
 	@files="$$(gofmt -l .)"; \
@@ -22,6 +22,13 @@ build:
 
 test:
 	$(GO) test -race ./...
+
+# The median behind every anomaly index must stay exact and within its
+# bound on ties, adversarial orders and NaN-laden input: run the stats
+# property, fuzz-seed and worst-case selection tests twice under the
+# race detector.
+test-stats:
+	$(GO) test -race -count=2 ./internal/stats/
 
 # The collection-plane fault machinery (deadlines, retries, quarantine,
 # counter-reset detection) is concurrency-heavy and timing-sensitive:
@@ -166,9 +173,11 @@ vet-metrics:
 	if [ "$$missing" -ne 0 ]; then exit 1; fi
 
 # Compile-and-run-once smoke over every Detect* benchmark, including
-# the cold-vs-prepared and sequential-vs-parallel engine comparisons.
+# the cold-vs-prepared and sequential-vs-parallel engine comparisons,
+# and over the median selection arms (random, quiet, ties, killers).
 bench-smoke:
 	$(GO) test -run '^$$' -bench Detect -benchtime 1x .
+	$(GO) test -run '^$$' -bench MedianInto -benchtime 1x ./internal/stats/
 
 # Full benchmark sweep (slow; not part of ci).
 bench:

@@ -102,7 +102,11 @@ func (o Options) withDefaults(y []float64) Options {
 }
 
 // denominatorInto computes the configured denominator statistic of
-// delta, using scratch as quickselect working storage for the median.
+// delta; every engine (full, sliced, batch, masked) takes Err_med from
+// here. The median is selected in scratch by stats.MedianInto, which
+// costs O(n) even when most residuals tie (a clean window is largely
+// exact zeros), never more than O(n log n), and allocates nothing once
+// scratch holds len(delta) values.
 func (o Options) denominatorInto(scratch, delta []float64) float64 {
 	switch o.Denominator {
 	case DenomMean:

@@ -8,6 +8,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -20,11 +21,19 @@ func Median(xs []float64) (float64, error) {
 	return MedianInto(make([]float64, len(xs)), xs)
 }
 
-// MedianInto computes the median of xs like Median, but partitions a
-// copy of xs inside scratch (grown if shorter than xs) by quickselect
-// instead of a full sort — O(n) expected instead of O(n log n), with
-// zero allocation when the caller reuses scratch across periods. xs is
-// never mutated; scratch is.
+// MedianInto computes the median of xs like Median, but selects it
+// from a copy of xs inside scratch (grown if shorter than xs) instead
+// of sorting, with zero allocation when the caller reuses scratch
+// across periods. xs is never mutated; scratch is.
+//
+// Selection takes O(n) time on random, monotone and tie-heavy inputs
+// alike: all copies of a tied value, such as the exact-zero residuals
+// of a clean window, are gathered in a single pass. A depth guard caps
+// every input, adversarial orderings included, at O(n log n).
+//
+// NaN does not order, so if xs contains a NaN the returned value is
+// unspecified (it may or may not be NaN). The call still stays within
+// the same bound, never panics and still leaves xs untouched.
 func MedianInto(scratch, xs []float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrEmpty
@@ -52,39 +61,71 @@ func MedianInto(scratch, xs []float64) (float64, error) {
 
 // quickselect partially sorts s so that s[k] holds the k-th smallest
 // element, everything before it is <= s[k] and everything after is
-// >= s[k]. Median-of-three pivoting keeps the common sorted/reversed
-// inputs at O(n) without randomness.
+// >= s[k].
+//
+// The pivot is the median of the elements at the quartiles and middle
+// of the range, so sorted, reversed and organ-pipe inputs split near
+// evenly without randomness. The partition is a branch-free Lomuto
+// loop, which does not mispredict on random data. Ties are handled as
+// in pdqsort: floor bounds the range from below, so a pivot that is not
+// above it is the range minimum, and that round gathers every copy of
+// it in one pass. After 2·bits.Len(n) rounds the remaining range is
+// sorted outright, which caps adversarial inputs at O(n log n).
 func quickselect(s []float64, k int) {
 	lo, hi := 0, len(s)-1
-	for lo < hi {
-		// Median-of-three pivot moved to hi.
-		mid := lo + (hi-lo)/2
-		if s[mid] < s[lo] {
-			s[mid], s[lo] = s[lo], s[mid]
+	floor := math.Inf(-1)
+	for depth := 2 * bits.Len(uint(len(s))); lo < hi; depth-- {
+		if depth == 0 {
+			sort.Float64s(s[lo : hi+1])
+			return
 		}
-		if s[hi] < s[lo] {
-			s[hi], s[lo] = s[lo], s[hi]
+		q := (hi - lo) / 4
+		a, m, b := lo+q, lo+2*q, hi-q
+		if s[m] < s[a] {
+			s[m], s[a] = s[a], s[m]
 		}
-		if s[mid] < s[hi] {
-			s[mid], s[hi] = s[hi], s[mid]
+		if s[b] < s[a] {
+			s[b], s[a] = s[a], s[b]
 		}
+		if s[b] < s[m] {
+			s[b], s[m] = s[m], s[b]
+		}
+		s[m], s[hi] = s[hi], s[m]
 		pivot := s[hi]
-		// Lomuto partition.
-		p := lo
-		for i := lo; i < hi; i++ {
-			if s[i] < pivot {
-				s[i], s[p] = s[p], s[i]
-				p++
+		// Swap each element into place, advancing p only past those
+		// that go left of the pivot: smaller ones, or with ties the
+		// pivot's copies. The 0/1 increment compiles to a flag set,
+		// not a branch.
+		p, t := lo, s[lo:hi]
+		ties := !(floor < pivot)
+		if ties {
+			for i, v := range t {
+				t[i], s[p] = s[p], v
+				inc := 1
+				if pivot < v {
+					inc = 0
+				}
+				p += inc
+			}
+		} else {
+			for i, v := range t {
+				t[i], s[p] = s[p], v
+				inc := 0
+				if v < pivot {
+					inc = 1
+				}
+				p += inc
 			}
 		}
 		s[p], s[hi] = s[hi], s[p]
 		switch {
-		case k == p:
-			return
+		case k == p, ties && k < p:
+			return // with ties, s[lo..p] all equal the pivot
 		case k < p:
 			hi = p - 1
 		default:
 			lo = p + 1
+			floor = pivot
 		}
 	}
 }
