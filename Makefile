@@ -67,9 +67,11 @@ test-stream:
 # factorization, sparse rank-one update/downdate) and the hardened
 # dense factor-maintenance path share poison/fallback semantics with
 # the churn manager: run their regression, property and fuzz-seed tests
-# twice under the race detector.
+# twice under the race detector, together with the core tests that pin
+# density-picked slice factors and the prepared missing-switch path to
+# their dense and cold references.
 test-sparse:
-	$(GO) test -race -count=2 -timeout 180s -run 'Sparse|Update|Downdate|Column|AMD|SymGram|Symbolic|PreparedLS|RankOneRepair' ./internal/matrix/ ./internal/churn/ ./internal/experiment/
+	$(GO) test -race -count=2 -timeout 180s -run 'Sparse|Update|Downdate|Column|AMD|SymGram|Symbolic|PreparedLS|RankOneRepair|DetectMissing' ./internal/matrix/ ./internal/churn/ ./internal/experiment/ ./internal/core/
 
 # The sharded multi-node detection cluster is membership-churn-heavy
 # (node join mid-epoch, node death mid-window with shard requeue,

@@ -9,6 +9,7 @@ package foces_test
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"foces"
@@ -21,7 +22,7 @@ import (
 // allocations (the report's result pointers, the sliced stage's
 // per-window result set) independent of rule count; the map-shaped
 // path it replaced paid O(rules) per window. fattree4/PairExact
-// measures ~120 allocs/window; the ceiling leaves room for scheduler
+// measures ~8 allocs/window; the ceiling leaves room for scheduler
 // noise while still tripping far below the map-era cost.
 const serveSteadyStateAllocBudget = 512
 
@@ -83,6 +84,37 @@ func TestServeSteadyStateAllocs(t *testing.T) {
 	t.Logf("steady state: %.1f allocs/window (budget %d)", allocs, serveSteadyStateAllocBudget)
 	if allocs > serveSteadyStateAllocBudget {
 		t.Errorf("System.Serve allocated %.1f times per window; budget is %d", allocs, serveSteadyStateAllocBudget)
+	}
+}
+
+// cleanRunAllocBudget is the allocations-per-Run ceiling for one clean
+// window through System.Run on FatTree(4)/PairExact (both engines).
+// Each engine carves its result vectors from one arena per window, so
+// a warm Run measures 5 allocations; allocating XHat, YHat and Delta
+// per slice again would add three per slice (20 slices) and trip it.
+const cleanRunAllocBudget = 10
+
+// TestCleanRunAllocs is the allocation gate on the clean path: a warm
+// System.Run on a counter vector must stay within cleanRunAllocBudget.
+func TestCleanRunAllocs(t *testing.T) {
+	sys := newSystem(t, "fattree4", foces.PairExact)
+	y, err := sys.ObserveCounters(rand.New(rand.NewSource(3)), 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := foces.Observation{Vector: y, RunOptions: foces.RunOptions{Epoch: sys.Epoch()}}
+	run := func() {
+		if _, err := sys.Run(obs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		run()
+	}
+	allocs := testing.AllocsPerRun(50, run)
+	t.Logf("clean Run: %.1f allocs (budget %d)", allocs, cleanRunAllocBudget)
+	if allocs > cleanRunAllocBudget {
+		t.Errorf("System.Run allocated %.1f times per clean window; budget is %d", allocs, cleanRunAllocBudget)
 	}
 }
 

@@ -319,6 +319,31 @@ func BenchmarkDetectSlicedColdVsPreparedParallel(b *testing.B) {
 	})
 }
 
+// BenchmarkDetectMissingPrepared measures one Run's sliced stage on
+// FatTree(4) while one switch is silent: the slices with no row on the
+// silent switch run on their prepared engines, and only the slices that
+// lose rows to it are re-derived and factored.
+func BenchmarkDetectMissingPrepared(b *testing.B) {
+	sys := newSystem(b, "fattree4", foces.PairExact)
+	if _, err := sys.ObserveCounters(rand.New(rand.NewSource(5)), 1000); err != nil {
+		b.Fatal(err)
+	}
+	obs := foces.Observation{
+		Counters: sys.Network().CollectCounters(),
+		RunOptions: foces.RunOptions{
+			Missing: []foces.SwitchID{sys.Slices()[0].Switch},
+			Mode:    foces.ModeSliced,
+		},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.Run(obs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDetectBatchVsLoop measures the batched multi-RHS detection
 // path against the equivalent per-window loop on the same prepared
 // engine: a backlog of windows solved as columns of one triangular

@@ -178,7 +178,7 @@ type switchState struct {
 // layer converts cumulative counters to per-period deltas while
 // detecting counter resets. Quarantined/failed/reset switches surface
 // in PollResult.Missing, which plugs straight into
-// core.DetectWithMissing / core.DetectSlicedWithMissing.
+// core.DetectWithMissing / SlicedDetector.DetectMissing.
 //
 // Safe for concurrent use, though polls are serialized by design: a
 // period's state transitions must observe the previous period's.

@@ -84,6 +84,24 @@ func (d *Detector) Detect(y []float64) (Result, error) {
 // Cholesky; selecting SolverCG falls back to a per-call iterative
 // solve.
 func (d *Detector) DetectWithOptions(y []float64, opts Options) (Result, error) {
+	return d.detectInto(y, opts, nil)
+}
+
+// resultLen is the number of values a Result of this engine draws from
+// an arena: XHat (Cols), then YHat and Delta (Rows each).
+func (d *Detector) resultLen() int { return d.h.Cols() + 2*d.h.Rows() }
+
+// carve splits the first n values off arena. The head's capacity is
+// capped at n, so appending to it reallocates instead of writing into
+// the next carving.
+func carve(arena []float64, n int) (head, rest []float64) {
+	return arena[:n:n], arena[n:]
+}
+
+// detectInto is DetectWithOptions with the result vectors carved from
+// arena, which holds resultLen() values; a nil arena is allocated here.
+// The returned Result owns its carvings.
+func (d *Detector) detectInto(y []float64, opts Options, arena []float64) (Result, error) {
 	h := d.h
 	if h.Rows() != len(y) {
 		return Result{}, fmt.Errorf("core: H is %dx%d but y has %d entries", h.Rows(), h.Cols(), len(y))
@@ -94,9 +112,15 @@ func (d *Detector) DetectWithOptions(y []float64, opts Options) (Result, error) 
 	if tel != nil {
 		t0 = time.Now()
 	}
+	if arena == nil {
+		arena = make([]float64, d.resultLen())
+	}
+	xHat, arena := carve(arena, h.Cols())
+	yHat, arena := carve(arena, h.Rows())
+	delta, _ := carve(arena, h.Rows())
 	if h.Rows() == 0 {
 		// Nothing to check: an empty system is trivially consistent.
-		res := Result{Delta: make([]float64, len(y))}
+		res := Result{Delta: delta}
 		tel.outcome(t0, res)
 		return res, nil
 	}
@@ -106,11 +130,10 @@ func (d *Detector) DetectWithOptions(y []float64, opts Options) (Result, error) 
 		// inconsistency no flow-volume estimate can explain (this keeps
 		// Theorem 3 intact for slices of rules outside all flow paths,
 		// like rule r4 in the paper's Fig. 2).
-		delta := make([]float64, len(y))
 		for i, v := range y {
 			delta[i] = math.Abs(v)
 		}
-		res := Result{Delta: delta, YHat: make([]float64, len(y))}
+		res := Result{Delta: delta, YHat: yHat}
 		res.ErrMax, _ = stats.Max(delta)
 		res.Index = anomalyIndex(res.ErrMax, 0, opts.ZeroTol)
 		res.Anomalous = res.Index > opts.Threshold
@@ -119,10 +142,8 @@ func (d *Detector) DetectWithOptions(y []float64, opts Options) (Result, error) 
 	}
 	sc := d.pool.Get().(*detectScratch)
 	defer d.pool.Put(sc)
-	var xHat []float64
 	var err error
 	if opts.Solver == SolverCholesky && d.ls != nil {
-		xHat = make([]float64, h.Cols())
 		err = d.ls.SolveInto(xHat, y, sc.ws)
 	} else {
 		xHat, err = solve(h, y, opts.Solver)
@@ -135,11 +156,9 @@ func (d *Detector) DetectWithOptions(y []float64, opts Options) (Result, error) 
 		tResid = time.Now()
 		tel.solve.ObserveDuration(tResid.Sub(t0).Nanoseconds())
 	}
-	yHat := make([]float64, h.Rows())
 	if err := h.MulVecInto(yHat, xHat); err != nil {
 		return Result{}, err
 	}
-	delta := make([]float64, h.Rows())
 	for i := range delta {
 		delta[i] = math.Abs(y[i] - yHat[i])
 	}
@@ -160,16 +179,20 @@ func (d *Detector) DetectWithOptions(y []float64, opts Options) (Result, error) 
 // indices validated at build time, and the per-slice counter gathers,
 // result and error buffers drawn from a pooled workspace so
 // steady-state periods are allocation-flat apart from the returned
-// outcome. Detect fans the slices out over a persistent worker pool
-// sized by GOMAXPROCS (goroutines start on the first parallel run and
-// idle on a buffered job channel between periods); the outcome
-// (including Suspects order) is identical to a sequential run.
+// outcome, whose per-slice vectors are carved from one fresh arena.
+// Detect fans the slices out over a persistent worker pool sized by
+// GOMAXPROCS (goroutines start on the first parallel run and idle on a
+// buffered job channel between periods); the outcome (including
+// Suspects order) is identical to a sequential run.
 //
 // A SlicedDetector is safe for concurrent Detect calls.
 type SlicedDetector struct {
 	slices   []Slice
 	engines  []*Detector
 	numRules int
+	// arenaOff[i] is where slice i's result vectors start in a window's
+	// arena; arenaOff[len(slices)] is the arena length.
+	arenaOff []int
 	opts     Options
 	workers  int
 	pool     sync.Pool        // *slicedScratch
@@ -198,6 +221,7 @@ type slicedScratch struct {
 type slicedJob struct {
 	sd       *SlicedDetector
 	y        []float64
+	arena    []float64
 	opts     Options
 	sc       *slicedScratch
 	chunk    int
@@ -242,7 +266,7 @@ func (j *slicedJob) runChunk(lo, hi int) {
 		}
 	}
 	for i := lo; i < hi; i++ {
-		sc.results[i], sc.errs[i] = sd.engines[i].DetectWithOptions(sc.subs[i], j.opts)
+		sc.results[i], sc.errs[i] = sd.engines[i].detectInto(sc.subs[i], j.opts, j.arena[sd.arenaOff[i]:sd.arenaOff[i+1]])
 	}
 }
 
@@ -313,10 +337,15 @@ func newSlicedDetector(slices []Slice, engines []*Detector, numRules int, opts O
 	if workers < 1 {
 		workers = 1
 	}
+	off := make([]int, len(engines)+1)
+	for i, e := range engines {
+		off[i+1] = off[i] + e.resultLen()
+	}
 	sd := &SlicedDetector{
 		slices:   slices,
 		engines:  engines,
 		numRules: numRules,
+		arenaOff: off,
 		opts:     opts,
 		workers:  workers,
 	}
@@ -374,7 +403,8 @@ func (sd *SlicedDetector) detect(y []float64, opts Options, workers int) (Sliced
 	results := sc.results
 	errs := sc.errs
 	j := &sc.job
-	j.y, j.opts, j.sc = y, opts, sc
+	// The arena is fresh every window: the outcome owns it.
+	j.y, j.arena, j.opts, j.sc = y, make([]float64, sd.arenaOff[len(sd.slices)]), opts, sc
 	j.timed = tel != nil
 	j.gatherNS.Store(0)
 	j.next.Store(0)
@@ -400,7 +430,7 @@ func (sd *SlicedDetector) detect(y []float64, opts Options, workers int) (Sliced
 	}
 	j.work()
 	j.wg.Wait()
-	j.y = nil
+	j.y, j.arena = nil, nil
 	if tel != nil {
 		tel.gather.ObserveDuration(j.gatherNS.Load())
 		tel.fanout.Observe(float64(len(sd.slices)))

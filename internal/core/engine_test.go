@@ -202,6 +202,36 @@ type errString string
 
 func (e errString) Error() string { return string(e) }
 
+// TestSlicedResultVectorsCapped pins the window arena's carving: every
+// per-slice vector is capacity-capped, so appending to one reallocates
+// instead of writing into the next slice's data.
+func TestSlicedResultVectorsCapped(t *testing.T) {
+	slices, numRules, clean, _ := engineFixture(t)
+	sd, err := NewSlicedDetector(slices, numRules, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := sd.Detect(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sd.Detect(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range out.PerSwitch {
+		for _, v := range [][]float64{r.Result.XHat, r.Result.YHat, r.Result.Delta} {
+			if cap(v) != len(v) {
+				t.Fatalf("switch %d: result vector has len %d cap %d", r.Switch, len(v), cap(v))
+			}
+			_ = append(v, -1)
+		}
+	}
+	if !reflect.DeepEqual(out, want) {
+		t.Fatal("appending to one slice's result vector changed another's")
+	}
+}
+
 func TestSlicedDetectorBuildTimeValidation(t *testing.T) {
 	slices, numRules, clean, _ := engineFixture(t)
 	// RuleRows outside the counter vector are rejected at build time.

@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"foces/internal/fcm"
+	"foces/internal/matrix"
 	"foces/internal/topo"
 )
 
@@ -72,33 +74,45 @@ func DetectWithMissing(f *fcm.FCM, counters map[int]uint64, missing []topo.Switc
 	}, nil
 }
 
-// DetectSlicedWithMissing runs Algorithm 2 restricted to reachable
-// switches: slices belonging to missing (unreachable or quarantined)
-// switches are skipped outright — their own rules are unobservable, so
-// there is nothing to check — and the remaining slices drop any
-// predecessor rows hosted on missing switches before solving, re-deriving
-// each affected sub-FCM from f.H. Like DetectWithMissing this re-factors
-// per call; it is the degraded path, not the steady state.
+// DetectMissing runs Algorithm 2 restricted to reachable switches, on
+// the prepared slice engines. f supplies each rule's hosting switch and
+// must be the rule generation sd was prepared for; y is the full
+// counter vector (rows of missing switches are never read). Slices
+// hosted on missing (unreachable or quarantined) switches are skipped
+// outright — their own rules are unobservable, so there is nothing to
+// check. A slice with no row on a missing switch runs on its prepared
+// engine exactly as in Detect. A slice that loses predecessor rows to a
+// missing switch is re-derived from f.H without them and factored for
+// this call; only the few slices neighbouring a silent switch pay that.
+// PerSwitch holds the checked slices, in slice order. It runs
+// sequentially: the missing path fires only while a switch is silent.
 //
 // An anomaly confined entirely to the missing switches is invisible
 // here — treat a long-missing switch as an incident of its own.
-func DetectSlicedWithMissing(f *fcm.FCM, slices []Slice, counters map[int]uint64, missing []topo.SwitchID, opts Options) (SlicedOutcome, error) {
+func (sd *SlicedDetector) DetectMissing(f *fcm.FCM, y []float64, missing []topo.SwitchID, opts Options) (SlicedOutcome, error) {
+	if len(y) != sd.numRules {
+		return SlicedOutcome{}, fmt.Errorf("core: counter vector has %d entries, sliced detector expects %d", len(y), sd.numRules)
+	}
 	down := make(map[topo.SwitchID]bool, len(missing))
 	for _, sw := range missing {
 		down[sw] = true
 	}
-	var out SlicedOutcome
-	type suspect struct {
-		sw    topo.SwitchID
-		index float64
+	tel := sd.tel
+	var t0 time.Time
+	if tel != nil {
+		t0 = time.Now()
 	}
-	var suspects []suspect
-	checked := 0
-	for _, sl := range slices {
+	sc := sd.pool.Get().(*slicedScratch)
+	defer sd.pool.Put(sc)
+	arena := make([]float64, sd.arenaOff[len(sd.slices)])
+	checked := make([]Slice, 0, len(sd.slices))
+	results := make([]Result, 0, len(sd.slices))
+	var rows []int
+	for i, sl := range sd.slices {
 		if down[sl.Switch] {
 			continue
 		}
-		rows := make([]int, 0, len(sl.RuleRows))
+		rows = rows[:0]
 		for _, rid := range sl.RuleRows {
 			if !down[f.Rules[rid].Switch] {
 				rows = append(rows, rid)
@@ -107,31 +121,34 @@ func DetectSlicedWithMissing(f *fcm.FCM, slices []Slice, counters map[int]uint64
 		if len(rows) == 0 {
 			continue
 		}
-		sub, err := f.H.SubMatrix(rows, sl.FlowCols)
+		sub := sc.subs[i][:len(rows)]
+		for k, rid := range rows {
+			sub[k] = y[rid]
+		}
+		var res Result
+		var err error
+		if len(rows) == len(sl.RuleRows) {
+			res, err = sd.engines[i].detectInto(sub, opts, arena[sd.arenaOff[i]:sd.arenaOff[i+1]])
+		} else {
+			var h *matrix.CSR
+			if h, err = f.H.SubMatrix(rows, sl.FlowCols); err == nil {
+				res, err = Detect(h, sub, opts)
+			}
+		}
 		if err != nil {
 			return SlicedOutcome{}, fmt.Errorf("core: partial slice for switch %d: %w", sl.Switch, err)
 		}
-		y := make([]float64, len(rows))
-		for i, rid := range rows {
-			y[i] = float64(counters[rid])
-		}
-		res, err := Detect(sub, y, opts)
-		if err != nil {
-			return SlicedOutcome{}, fmt.Errorf("core: partial slice for switch %d: %w", sl.Switch, err)
-		}
-		checked++
-		out.PerSwitch = append(out.PerSwitch, SliceResult{Switch: sl.Switch, Result: res})
-		if res.Anomalous {
-			out.Anomalous = true
-			suspects = append(suspects, suspect{sw: sl.Switch, index: res.Index})
-		}
+		tel.slice(res)
+		checked = append(checked, sl)
+		results = append(results, res)
 	}
-	if checked == 0 {
+	if len(checked) == 0 {
 		return SlicedOutcome{}, fmt.Errorf("core: every slice is hosted on a missing switch; nothing to check")
 	}
-	sort.SliceStable(suspects, func(i, j int) bool { return suspects[i].index > suspects[j].index })
-	for _, s := range suspects {
-		out.Suspects = append(out.Suspects, s.sw)
+	if tel != nil {
+		tel.fanout.Observe(float64(len(checked)))
 	}
+	out := MergeSliceResults(checked, results)
+	tel.outcome(t0, out.Anomalous)
 	return out, nil
 }

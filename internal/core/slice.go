@@ -142,13 +142,16 @@ type SlicedOutcome struct {
 // index ties, which the stable sort preserves in slice order) exactly.
 func MergeSliceResults(slices []Slice, results []Result) SlicedOutcome {
 	var out SlicedOutcome
+	if len(slices) > 0 {
+		out.PerSwitch = make([]SliceResult, len(slices))
+	}
 	type suspect struct {
 		sw    topo.SwitchID
 		index float64
 	}
 	var suspects []suspect
 	for i, sl := range slices {
-		out.PerSwitch = append(out.PerSwitch, SliceResult{Switch: sl.Switch, Result: results[i]})
+		out.PerSwitch[i] = SliceResult{Switch: sl.Switch, Result: results[i]}
 		if results[i].Anomalous {
 			out.Anomalous = true
 			suspects = append(suspects, suspect{sw: sl.Switch, index: results[i].Index})

@@ -50,23 +50,22 @@ type KernelOptions struct {
 	// default.
 	Sparse SparseMode
 	// SparseDensity is the Gram-density threshold at or below which
-	// SparseAuto picks the sparse path. 0 inherits the package default
-	// (0.125).
+	// SparseAuto picks the sparse path, at every system width. 0
+	// inherits the package default (0.125).
 	SparseDensity float64
-	// SparseMinCols is the minimum system width before SparseAuto even
-	// considers the sparse path; below it the dense kernels win outright.
-	// 0 inherits the package default (512).
-	SparseMinCols int
 }
 
 // SparseMode selects the PrepareLS factorization backend.
 type SparseMode int
 
 const (
-	// SparseAuto assembles the sparse Gram for wide systems and picks the
-	// sparse factorization when its density is at or below the
-	// SparseDensity threshold; otherwise the Gram is scattered to dense
-	// and the dense kernels run exactly as before.
+	// SparseAuto assembles the sparse Gram and picks the sparse
+	// factorization when its density is at or below the SparseDensity
+	// threshold; otherwise the Gram is scattered to dense and the dense
+	// kernels run exactly as before. Width plays no part: a narrow
+	// sparse Gram (a per-switch slice on a pair-exact fabric is
+	// diagonal) also factors and solves faster sparse, and a narrow
+	// dense one still goes dense.
 	SparseAuto SparseMode = iota
 	// SparseAlways forces the sparse direct path.
 	SparseAlways
@@ -88,7 +87,6 @@ func (m SparseMode) String() string {
 const (
 	defaultBlockSize     = 64
 	defaultSparseDensity = 0.125
-	defaultSparseMinCols = 512
 )
 
 // kernelDefaults holds the package-wide KernelOptions. Access is atomic
@@ -140,18 +138,11 @@ func resolveKernel(o KernelOptions) (workers, blockSize int, serial bool) {
 
 // resolveSparse fills the sparse-selection fields of o from the package
 // defaults and then from the hard-coded fallbacks.
-func resolveSparse(o KernelOptions) (mode SparseMode, minCols int, density float64) {
+func resolveSparse(o KernelOptions) (mode SparseMode, density float64) {
 	d := KernelDefaults()
 	mode = o.Sparse
 	if mode == SparseAuto {
 		mode = d.Sparse
-	}
-	minCols = o.SparseMinCols
-	if minCols == 0 {
-		minCols = d.SparseMinCols
-	}
-	if minCols <= 0 {
-		minCols = defaultSparseMinCols
 	}
 	density = o.SparseDensity
 	if density == 0 {
@@ -160,7 +151,7 @@ func resolveSparse(o KernelOptions) (mode SparseMode, minCols int, density float
 	if density <= 0 {
 		density = defaultSparseDensity
 	}
-	return mode, minCols, density
+	return mode, density
 }
 
 // KernelWorkers reports the worker count the default kernel options

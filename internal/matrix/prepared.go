@@ -16,10 +16,10 @@ import (
 // rule generation and solve every detection period.
 //
 // The factorization backend is selected per KernelOptions.Sparse: the
-// default SparseAuto assembles the Gram sparsely for wide systems and
-// keeps it sparse when its density is at or below the threshold,
-// breaking the O(n²) dense-Gram memory wall; narrow or dense systems
-// scatter to the dense kernels and behave exactly as before.
+// default SparseAuto assembles the Gram sparsely and keeps it sparse
+// when its density is at or below the threshold, breaking the O(n²)
+// dense-Gram memory wall; denser systems scatter to the dense kernels
+// and behave exactly as before.
 type PreparedLS struct {
 	h     *CSR
 	chol  *Cholesky       // dense backend (nil when sparse)
@@ -91,9 +91,8 @@ func PrepareLSReusing(h *CSR, opts LeastSquaresOptions, ko KernelOptions, prev *
 }
 
 func prepareLS(h *CSR, opts LeastSquaresOptions, ko KernelOptions, prevSym *SparseSymbolic) (*PreparedLS, error) {
-	mode, minCols, density := resolveSparse(ko)
-	n := h.Cols()
-	if mode == SparseNever || (mode == SparseAuto && n < minCols) {
+	mode, density := resolveSparse(ko)
+	if mode == SparseNever {
 		return prepareDense(h, opts, ko, nil, 0)
 	}
 	t0 := time.Now()

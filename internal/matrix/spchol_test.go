@@ -410,14 +410,23 @@ func TestPreparedLSAutoSelection(t *testing.T) {
 	if !ps.SparseBacked() {
 		t.Fatalf("auto did not pick sparse for density %g", hs.SymGram().Density())
 	}
-	// Narrow: auto must stay dense regardless of density.
+	// Narrow and sparse: width plays no part, so auto picks sparse.
 	hn := randomSparseH(rng, 100, 50, 0.01)
 	pn, err := PrepareLSOpts(hn, LeastSquaresOptions{}, KernelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pn.SparseBacked() {
-		t.Fatal("auto picked sparse below SparseMinCols")
+	if d := hn.SymGram().Density(); d > defaultSparseDensity || !pn.SparseBacked() {
+		t.Fatalf("auto did not pick sparse for a narrow Gram of density %g", d)
+	}
+	// Narrow and dense: auto must stay dense.
+	hnd := randomSparseH(rng, 100, 50, 0.5)
+	pnd, err := PrepareLSOpts(hnd, LeastSquaresOptions{}, KernelOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pnd.SparseBacked() {
+		t.Fatalf("auto picked sparse for a narrow Gram of density %g", hnd.SymGram().Density())
 	}
 	// Wide but dense: auto must scatter to the dense kernels.
 	hd := randomSparseH(rng, 1200, 600, 0.5)

@@ -439,7 +439,11 @@ func (s *System) runLocked(obs Observation, runner SlicedRunner) (Report, error)
 		}
 		if runSliced {
 			t0 := time.Now()
-			so, err := core.DetectSlicedWithMissing(s.fcm, s.slices, obs.Counters, obs.Missing, opts)
+			// Like the cold full path above, the missing path reads
+			// only the rows it checks, so counters outside the rule
+			// space are ignored rather than rejected.
+			pooledY = s.fcm.CounterVectorInto(s.getVector(), obs.Counters)
+			so, err := s.sliced.DetectMissing(s.fcm, pooledY, obs.Missing, opts)
 			if err != nil {
 				return Report{}, err
 			}
