@@ -21,13 +21,13 @@ func ExampleNewSystem() {
 	rng := rand.New(rand.NewSource(1))
 
 	y, _ := sys.ObserveCounters(rng, 1000)
-	res, _ := sys.Detect(y, foces.DetectOptions{})
-	fmt.Println("clean anomalous:", res.Anomalous)
+	rep, _ := sys.Run(foces.Observation{Vector: y})
+	fmt.Println("clean anomalous:", rep.Anomalous)
 
 	atk, _ := sys.InjectRandomAttack(rng, foces.AttackPortSwap)
 	y, _ = sys.ObserveCounters(rng, 1000)
-	res, _ = sys.Detect(y, foces.DetectOptions{})
-	fmt.Println("attacked anomalous:", res.Anomalous)
+	rep, _ = sys.Run(foces.Observation{Vector: y})
+	fmt.Println("attacked anomalous:", rep.Anomalous)
 
 	_ = atk.Revert(sys.Network())
 	// Output:

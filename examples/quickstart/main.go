@@ -41,11 +41,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	res, err := sys.Detect(y, foces.DetectOptions{})
+	rep, err := sys.Run(foces.Observation{Vector: y, RunOptions: foces.RunOptions{Mode: foces.ModeFull}})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("clean network:   anomaly index = %.2f, anomalous = %v\n", res.Index, res.Anomalous)
+	fmt.Printf("clean network:   anomaly index = %.2f, anomalous = %v\n", rep.Index, rep.Anomalous)
 
 	// 2. Compromise a random switch: one forwarding rule silently sends
 	// packets out of the wrong port. The switch keeps reporting its
@@ -61,18 +61,15 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	res, err = sys.Detect(y, foces.DetectOptions{})
+	// 3. The default mode runs both engines: the network-wide verdict
+	// plus sliced detection, which localizes the problem to suspect
+	// switches.
+	rep, err = sys.Run(foces.Observation{Vector: y})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("under attack:    anomaly index = %s, anomalous = %v\n", fmtIndex(res.Index), res.Anomalous)
-
-	// 3. Sliced detection localizes the problem to suspect switches.
-	sliced, err := sys.DetectSliced(y, foces.DetectOptions{})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("localization:    suspect switches = %v\n", sliced.Suspects)
+	fmt.Printf("under attack:    anomaly index = %s, anomalous = %v\n", fmtIndex(rep.Index), rep.Full.Anomalous)
+	fmt.Printf("localization:    suspect switches = %v\n", rep.Suspects)
 
 	// 4. Repair the rule; the network goes quiet again.
 	if err := atk.Revert(sys.Network()); err != nil {
@@ -82,11 +79,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	res, err = sys.Detect(y, foces.DetectOptions{})
+	rep, err = sys.Run(foces.Observation{Vector: y, RunOptions: foces.RunOptions{Mode: foces.ModeFull}})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("after repair:    anomaly index = %.2f, anomalous = %v\n", res.Index, res.Anomalous)
+	fmt.Printf("after repair:    anomaly index = %.2f, anomalous = %v\n", rep.Index, rep.Anomalous)
 	return nil
 }
 

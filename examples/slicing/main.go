@@ -54,27 +54,20 @@ func run() error {
 			return err
 		}
 
-		start := time.Now()
-		base, err := sys.Detect(y, foces.DetectOptions{})
+		// The default mode runs both engines and times each stage.
+		rep, err := sys.Run(foces.Observation{Vector: y})
 		if err != nil {
 			return err
 		}
-		baseTime := time.Since(start)
+		baseTime, slicedTime := rep.Timings.Full, rep.Timings.Sliced
 
-		start = time.Now()
-		sliced, err := sys.DetectSliced(y, foces.DetectOptions{})
-		if err != nil {
-			return err
-		}
-		slicedTime := time.Since(start)
-
-		if !base.Anomalous || !sliced.Anomalous {
-			return fmt.Errorf("%d flows: attack missed (base=%v sliced=%v)", flows, base.Anomalous, sliced.Anomalous)
+		if !rep.Full.Anomalous || !rep.Sliced.Anomalous {
+			return fmt.Errorf("%d flows: attack missed (base=%v sliced=%v)", flows, rep.Full.Anomalous, rep.Sliced.Anomalous)
 		}
 		fmt.Printf("%8d %8d %12v %12v %7.1fx   suspects=%v\n",
 			sys.FCM().NumFlows(), sys.FCM().NumRules(),
 			baseTime.Round(time.Microsecond), slicedTime.Round(time.Microsecond),
-			float64(baseTime)/float64(slicedTime), truncate(sliced.Suspects, 3))
+			float64(baseTime)/float64(slicedTime), truncate(rep.Suspects, 3))
 	}
 	fmt.Println("\nThe baseline solve grows ~cubically with the flow count; slicing")
 	fmt.Println("solves many small per-switch systems instead and pulls ahead past")

@@ -84,11 +84,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	res, err := sys.Detect(y, foces.DetectOptions{})
+	rep, err := sys.Run(foces.Observation{Vector: y, RunOptions: foces.RunOptions{Mode: foces.ModeFull}})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("policy honoured: anomaly index = %.2f\n", res.Index)
+	fmt.Printf("policy honoured: anomaly index = %.2f\n", rep.Index)
 
 	// The adversary controls the edge switch: it rewrites the
 	// branch->server rule to use the shortcut port, bypassing the
@@ -128,16 +128,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	res, err = sys.Detect(y, foces.DetectOptions{})
+	rep, err = sys.Run(foces.Observation{Vector: y})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("FOCES verdict: anomalous = %v (firewall's counter no longer matches the equation system)\n", res.Anomalous)
-	sliced, err := sys.DetectSliced(y, foces.DetectOptions{})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("suspect switches: %v\n", sliced.Suspects)
+	fmt.Printf("FOCES verdict: anomalous = %v (firewall's counter no longer matches the equation system)\n", rep.Full.Anomalous)
+	fmt.Printf("suspect switches: %v\n", rep.Suspects)
 	_ = aux
 	return nil
 }

@@ -50,9 +50,9 @@
 // path, windows collected under an older epoch take the reconciled
 // (masked-row) path, everything else the clean path. The Report records
 // which path ran, both engines' verdicts, localization suspects, and
-// per-stage timings. The older methods Detect, DetectSliced,
-// DetectWithMissing, DetectSlicedWithMissing and DetectReconciled are
-// deprecated wrappers over Run and will keep working.
+// per-stage timings. Run is the System's only detection entry point;
+// the prepared engines behind it stay reachable through Detector and
+// SlicedDetector.
 //
 // # Steady-state monitoring
 //
@@ -175,8 +175,6 @@ type (
 	PartialResult = core.PartialResult
 	// Detectability is a Theorem 1/2 detectability verdict.
 	Detectability = core.Detectability
-	// Solver selects the least-squares backend.
-	Solver = core.Solver
 	// KernelOptions tunes the parallel blocked linear-algebra kernels
 	// (Gram assembly, blocked Cholesky, slice-build fan-out) and the
 	// sparse-vs-dense solver selection.
@@ -244,15 +242,6 @@ const (
 	AttackPortSwap = dataplane.AttackPortSwap
 	// AttackDrop silently discards matched packets.
 	AttackDrop = dataplane.AttackDrop
-)
-
-// Solvers.
-const (
-	// SolverCholesky solves the normal equations by Cholesky
-	// factorization (the paper's approach).
-	SolverCholesky = core.SolverCholesky
-	// SolverCG uses conjugate gradient without materializing HᵀH.
-	SolverCG = core.SolverCG
 )
 
 // DefaultThreshold is the paper's default anomaly-index threshold

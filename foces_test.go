@@ -29,18 +29,14 @@ func TestSystemCleanDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Detect(y, foces.DetectOptions{})
+	rep, err := sys.Run(foces.Observation{Vector: y})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Anomalous {
-		t.Fatalf("clean network flagged: AI=%v", res.Index)
+	if rep.Full.Anomalous {
+		t.Fatalf("clean network flagged: AI=%v", rep.Index)
 	}
-	sliced, err := sys.DetectSliced(y, foces.DetectOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sliced.Anomalous {
+	if rep.Sliced.Anomalous {
 		t.Fatal("clean network flagged by slicing")
 	}
 }
@@ -56,18 +52,14 @@ func TestSystemDetectsInjectedAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Detect(y, foces.DetectOptions{})
+	rep, err := sys.Run(foces.Observation{Vector: y})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Anomalous {
-		t.Fatalf("attack missed: AI=%v", res.Index)
+	if !rep.Full.Anomalous {
+		t.Fatalf("attack missed: AI=%v", rep.Index)
 	}
-	sliced, err := sys.DetectSliced(y, foces.DetectOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sliced.Anomalous || len(sliced.Suspects) == 0 {
+	if !rep.Sliced.Anomalous || len(rep.Suspects) == 0 {
 		t.Fatal("sliced detection must flag and localize")
 	}
 	// After repair the network must go quiet again.
@@ -78,11 +70,11 @@ func TestSystemDetectsInjectedAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = sys.Detect(y, foces.DetectOptions{})
+	rep, err = sys.Run(foces.Observation{Vector: y, RunOptions: foces.RunOptions{Mode: foces.ModeFull}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Anomalous {
+	if rep.Anomalous {
 		t.Fatal("repaired network still flagged")
 	}
 }
@@ -205,11 +197,11 @@ func TestCustomTopologyViaBuilder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Detect(y, foces.DetectOptions{})
-	if err != nil || res.Anomalous {
-		t.Fatalf("custom topology detection: %+v %v", res, err)
+	rep, err := sys.Run(foces.Observation{Vector: y, RunOptions: foces.RunOptions{Mode: foces.ModeFull}})
+	if err != nil || rep.Anomalous {
+		t.Fatalf("custom topology detection: %+v %v", rep, err)
 	}
-	if math.IsNaN(res.Index) {
+	if math.IsNaN(rep.Index) {
 		t.Fatal("NaN index")
 	}
 }
@@ -247,9 +239,9 @@ func TestJellyfishEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Detect(y, foces.DetectOptions{})
-	if err != nil || res.Anomalous {
-		t.Fatalf("clean jellyfish flagged: %+v %v", res, err)
+	run, err := sys.Run(foces.Observation{Vector: y, RunOptions: foces.RunOptions{Mode: foces.ModeFull}})
+	if err != nil || run.Anomalous {
+		t.Fatalf("clean jellyfish flagged: %+v %v", run, err)
 	}
 	if _, err := sys.InjectRandomAttack(rng, foces.AttackPortSwap); err != nil {
 		t.Fatal(err)
@@ -258,9 +250,9 @@ func TestJellyfishEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = sys.Detect(y, foces.DetectOptions{})
-	if err != nil || !res.Anomalous {
-		t.Fatalf("jellyfish attack missed: %+v %v", res, err)
+	run, err = sys.Run(foces.Observation{Vector: y, RunOptions: foces.RunOptions{Mode: foces.ModeFull}})
+	if err != nil || !run.Anomalous {
+		t.Fatalf("jellyfish attack missed: %+v %v", run, err)
 	}
 }
 
@@ -274,10 +266,11 @@ func TestSystemPreparedEnginesMatchFreeFunctions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine, err := sys.Detect(y, foces.DetectOptions{})
+	rep, err := sys.Run(foces.Observation{Vector: y})
 	if err != nil {
 		t.Fatal(err)
 	}
+	engine, engineSliced := *rep.Full, *rep.Sliced
 	free, err := foces.Detect(sys.FCM(), y, foces.DetectOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -285,10 +278,6 @@ func TestSystemPreparedEnginesMatchFreeFunctions(t *testing.T) {
 	if engine.Index != free.Index || engine.Anomalous != free.Anomalous {
 		t.Fatalf("engine result (%v, %v) != free result (%v, %v)",
 			engine.Index, engine.Anomalous, free.Index, free.Anomalous)
-	}
-	engineSliced, err := sys.DetectSliced(y, foces.DetectOptions{})
-	if err != nil {
-		t.Fatal(err)
 	}
 	freeSliced, err := foces.DetectSliced(sys.Slices(), y, foces.DetectOptions{})
 	if err != nil {
@@ -351,15 +340,12 @@ func TestSystemRebuildBaselineOnRuleChange(t *testing.T) {
 	}
 	// The rebuilt engines must accept the new counter-vector length.
 	y := make([]float64, sys.FCM().NumRules())
-	if _, err := sys.Detect(y, foces.DetectOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.DetectSliced(y, foces.DetectOptions{}); err != nil {
+	if _, err := sys.Run(foces.Observation{Vector: y}); err != nil {
 		t.Fatal(err)
 	}
 	// And reject the old one: the stale length no longer fits.
 	stale := make([]float64, fullRules)
-	if _, err := sys.Detect(stale, foces.DetectOptions{}); err == nil {
+	if _, err := sys.Run(foces.Observation{Vector: stale, RunOptions: foces.RunOptions{Mode: foces.ModeFull}}); err == nil {
 		t.Fatal("stale counter vector must be rejected after rebuild")
 	}
 }

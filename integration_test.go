@@ -67,11 +67,11 @@ func TestRandomFabricsEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := sys.Detect(y, foces.DetectOptions{})
+			rep, err := sys.Run(foces.Observation{Vector: y, RunOptions: foces.RunOptions{Mode: foces.ModeFull}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !res.Anomalous {
+			if !rep.Anomalous {
 				// Either the detector is broken or the deviation is one
 				// of the provably masked ones. Check which.
 				masked, merr := allDeviationsMasked(sys, atk)
@@ -80,7 +80,7 @@ func TestRandomFabricsEndToEnd(t *testing.T) {
 				}
 				if !masked {
 					t.Fatalf("seed %d trial %d: detectable attack missed (AI=%v, %+v)",
-						seed, trial, res.Index, atk)
+						seed, trial, rep.Index, atk)
 				}
 			}
 			if err := atk.Revert(sys.Network()); err != nil {
@@ -90,11 +90,11 @@ func TestRandomFabricsEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err = sys.Detect(y, foces.DetectOptions{})
+			rep, err = sys.Run(foces.Observation{Vector: y, RunOptions: foces.RunOptions{Mode: foces.ModeFull}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Anomalous {
+			if rep.Anomalous {
 				t.Fatalf("seed %d trial %d: repaired fabric still flagged", seed, trial)
 			}
 		}
@@ -199,8 +199,8 @@ func TestNewSystemWithPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Detect(y, foces.DetectOptions{})
-	if err != nil || res.Anomalous {
-		t.Fatalf("pairs system detection: %+v %v", res, err)
+	rep, err := sys.Run(foces.Observation{Vector: y, RunOptions: foces.RunOptions{Mode: foces.ModeFull}})
+	if err != nil || rep.Anomalous {
+		t.Fatalf("pairs system detection: %+v %v", rep, err)
 	}
 }

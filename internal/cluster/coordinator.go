@@ -446,8 +446,9 @@ func (c *Coordinator) requeue(call *windowCall, deadAddr string) {
 		c.mu.Lock()
 		newOwner := c.ring.Owner(sw)
 		p := c.peers[newOwner]
+		alive := p != nil && p.alive // alive is guarded by c.mu
 		c.mu.Unlock()
-		if newOwner == "" || p == nil || !p.alive {
+		if newOwner == "" || !alive {
 			call.mu.Unlock()
 			call.fail(fmt.Errorf("cluster: no live node for shard %d", sw))
 			return

@@ -17,9 +17,9 @@ import (
 // length-prefix framing (internal/wire). A full baseline snapshot of a
 // large slice is the biggest message; 64 MiB comfortably covers
 // FatTree(16)-scale slices while still bounding a corrupt length
-// prefix.
+// prefix. Version 2 dropped the solver selector from the WINDOW frame.
 const (
-	Version  = 1
+	Version  = 2
 	maxFrame = 64 << 20
 )
 
@@ -312,7 +312,6 @@ func encodeWindow(w *windowMsg) []byte {
 		bw.u8(0)
 	}
 	bw.f64(w.Opts.Threshold)
-	bw.u32(uint32(w.Opts.Solver))
 	bw.f64(w.Opts.ZeroTol)
 	bw.u32(uint32(w.Opts.Denominator))
 	bw.u32(uint32(len(w.Shards)))
@@ -328,7 +327,6 @@ func decodeWindow(body []byte) (*windowMsg, error) {
 	r := breader{b: body}
 	w := &windowMsg{Seq: r.u64(), Masked: r.u8() == 1}
 	w.Opts.Threshold = r.f64()
-	w.Opts.Solver = core.Solver(r.u32())
 	w.Opts.ZeroTol = r.f64()
 	w.Opts.Denominator = core.Denominator(r.u32())
 	n := int(r.u32())

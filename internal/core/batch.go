@@ -11,7 +11,7 @@ import (
 
 // PrepareStats reports where this engine's prepare time went (Gram
 // assembly vs Cholesky factorization). Zero for engines without a
-// prepared factorization (degenerate H, non-Cholesky solver) and for
+// prepared factorization (degenerate H) and for
 // engines assembled from an externally maintained factor.
 func (d *Detector) PrepareStats() matrix.PrepareStats {
 	if d.ls == nil {
@@ -27,8 +27,8 @@ func (d *Detector) PrepareStats() matrix.PrepareStats {
 // each is bitwise identical to the corresponding Detect(ys[r]) call —
 // batching is purely a throughput optimization, so callers migrate by
 // collecting windows and switching the call, with no behavioral or
-// tuning changes. Windows that cannot take the batched solve (empty H,
-// CG solver) fall back to per-window Detect internally.
+// tuning changes. Batches that cannot take the batched solve (a single
+// window, or an empty H) fall back to per-window Detect internally.
 func (d *Detector) DetectBatch(ys [][]float64) ([]Result, error) {
 	return d.DetectBatchWithOptions(ys, d.opts)
 }
@@ -45,11 +45,7 @@ func (d *Detector) DetectBatchWithOptions(ys [][]float64, opts Options) ([]Resul
 			return nil, fmt.Errorf("core: batch window %d: H is %dx%d but y has %d entries", r, h.Rows(), h.Cols(), len(y))
 		}
 	}
-	resolvedSolver := opts.Solver
-	if resolvedSolver == 0 {
-		resolvedSolver = SolverCholesky
-	}
-	if len(ys) == 1 || h.Rows() == 0 || h.Cols() == 0 || d.ls == nil || resolvedSolver != SolverCholesky {
+	if len(ys) == 1 || h.Rows() == 0 || h.Cols() == 0 || d.ls == nil {
 		results := make([]Result, len(ys))
 		for r, y := range ys {
 			res, err := d.DetectWithOptions(y, opts)

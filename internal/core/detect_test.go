@@ -75,25 +75,6 @@ func TestDetectCleanCountersScoreZero(t *testing.T) {
 	}
 }
 
-func TestDetectSolversAgree(t *testing.T) {
-	f := fig2FCM(t)
-	y := []float64{3, 3, 4, 3, 8, 12}
-	chol, err := Detect(f.H, y, Options{Solver: SolverCholesky})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cg, err := Detect(f.H, y, Options{Solver: SolverCG})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chol.Anomalous != cg.Anomalous {
-		t.Fatal("solvers disagree on verdict")
-	}
-	if !matrix.VecEqualApprox(chol.Delta, cg.Delta, 1e-6) {
-		t.Fatalf("Δ disagree: %v vs %v", chol.Delta, cg.Delta)
-	}
-}
-
 func TestDetectValidation(t *testing.T) {
 	f := fig2FCM(t)
 	if _, err := Detect(f.H, []float64{1, 2}, Options{}); err == nil {
@@ -106,15 +87,6 @@ func TestDetectValidation(t *testing.T) {
 	res, err := Detect(empty, nil, Options{})
 	if err != nil || res.Anomalous {
 		t.Fatalf("empty system: %+v err=%v", res, err)
-	}
-	if _, err := Detect(f.H, make([]float64, 6), Options{Solver: Solver(99)}); err == nil {
-		t.Fatal("unknown solver must error")
-	}
-}
-
-func TestSolverString(t *testing.T) {
-	if SolverCholesky.String() != "cholesky" || SolverCG.String() != "cg" || Solver(0).String() != "unknown" {
-		t.Fatal("Solver strings wrong")
 	}
 }
 

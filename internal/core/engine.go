@@ -25,7 +25,7 @@ import (
 type Detector struct {
 	h    *matrix.CSR
 	opts Options
-	ls   *matrix.PreparedLS // nil when H is degenerate or the solver is not Cholesky
+	ls   *matrix.PreparedLS // nil when H is degenerate
 	pool sync.Pool          // *detectScratch
 	tel  *detTelemetry      // nil unless SetTelemetry wired a metric set
 }
@@ -52,11 +52,7 @@ func NewDetector(h *matrix.CSR, opts Options) (*Detector, error) {
 // numeric factorization.
 func NewDetectorReusing(h *matrix.CSR, opts Options, prev *matrix.PreparedLS) (*Detector, error) {
 	d := &Detector{h: h, opts: opts}
-	solver := opts.Solver
-	if solver == 0 {
-		solver = SolverCholesky
-	}
-	if solver == SolverCholesky && h.Rows() > 0 && h.Cols() > 0 {
+	if h.Rows() > 0 && h.Cols() > 0 {
 		ls, err := matrix.PrepareLSReusing(h, matrix.LeastSquaresOptions{}, matrix.KernelOptions{}, prev)
 		if err != nil {
 			return nil, fmt.Errorf("core: prepare detector: %w", err)
@@ -79,10 +75,8 @@ func (d *Detector) Detect(y []float64) (Result, error) {
 	return d.DetectWithOptions(y, d.opts)
 }
 
-// DetectWithOptions runs Algorithm 1 with per-call options. The
-// prepared factorization is used whenever the (resolved) solver is
-// Cholesky; selecting SolverCG falls back to a per-call iterative
-// solve.
+// DetectWithOptions runs Algorithm 1 with per-call options on the
+// prepared factorization.
 func (d *Detector) DetectWithOptions(y []float64, opts Options) (Result, error) {
 	return d.detectInto(y, opts, nil)
 }
@@ -142,13 +136,7 @@ func (d *Detector) detectInto(y []float64, opts Options, arena []float64) (Resul
 	}
 	sc := d.pool.Get().(*detectScratch)
 	defer d.pool.Put(sc)
-	var err error
-	if opts.Solver == SolverCholesky && d.ls != nil {
-		err = d.ls.SolveInto(xHat, y, sc.ws)
-	} else {
-		xHat, err = solve(h, y, opts.Solver)
-	}
-	if err != nil {
+	if err := d.ls.SolveInto(xHat, y, sc.ws); err != nil {
 		return Result{}, fmt.Errorf("core: volume estimate: %w", err)
 	}
 	var tResid time.Time

@@ -74,15 +74,6 @@ func TestDetectorPerCallOptions(t *testing.T) {
 	if high.Index != res.Index {
 		t.Fatalf("index must not depend on threshold: %v vs %v", high.Index, res.Index)
 	}
-	// A per-call CG override bypasses the factorization but agrees on
-	// the verdict.
-	cg, err := d.DetectWithOptions(y, Options{Solver: SolverCG})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cg.Anomalous != res.Anomalous {
-		t.Fatalf("CG verdict %v != Cholesky verdict %v", cg.Anomalous, res.Anomalous)
-	}
 }
 
 func TestDetectorDegenerateShapes(t *testing.T) {

@@ -113,29 +113,50 @@ func TestKernelDetectBatchMatchesLoop(t *testing.T) {
 	}
 }
 
-// TestKernelDetectBatchFallbacks covers the windows that cannot take
-// the multi-RHS solve: empty batches, CG solver, and dimension errors.
+// TestKernelDetectBatchFallbacks covers the batches that cannot take
+// the multi-RHS solve: empty batches, a single window, a zero-column H
+// (no factor to share), and dimension errors.
 func TestKernelDetectBatchFallbacks(t *testing.T) {
 	f, clean, attacked := runAttackScenario(t, "fattree4", 7)
-	d, err := NewDetector(f.H, Options{Solver: SolverCG})
+	d, err := NewDetector(f.H, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res, err := d.DetectBatch(nil); err != nil || res != nil {
 		t.Fatalf("empty batch: %v, %v", res, err)
 	}
-	ys := [][]float64{clean, attacked}
-	batch, err := d.DetectBatch(ys)
+	rows := make([]int, f.H.Rows())
+	for i := range rows {
+		rows[i] = i
+	}
+	noCols, err := f.H.SubMatrix(rows, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r, y := range ys {
-		want, err := d.Detect(y)
+	degenerate, err := NewDetector(noCols, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		d    *Detector
+		ys   [][]float64
+	}{
+		{"single window", d, [][]float64{attacked}},
+		{"zero-column H", degenerate, [][]float64{clean, attacked}},
+	} {
+		batch, err := tc.d.DetectBatch(tc.ys)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if !reflect.DeepEqual(want, batch[r]) {
-			t.Fatalf("CG window %d: batch diverged from loop", r)
+		for r, y := range tc.ys {
+			want, err := tc.d.Detect(y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, batch[r]) {
+				t.Fatalf("%s window %d: batch diverged from loop", tc.name, r)
+			}
 		}
 	}
 	if _, err := d.DetectBatch([][]float64{clean[:3]}); err == nil {

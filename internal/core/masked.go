@@ -29,8 +29,7 @@ func NewDetectorFromPrepared(ls *matrix.PreparedLS, opts Options) *Detector {
 }
 
 // Prepared exposes the engine's prepared least-squares solver (nil when
-// H is degenerate or the solver is not Cholesky). Callers deriving a
-// modified factor must Clone it.
+// H is degenerate). Callers deriving a modified factor must Clone it.
 func (d *Detector) Prepared() *matrix.PreparedLS { return d.ls }
 
 // NewSlicedDetectorWithEngines assembles a sliced detector from
@@ -125,7 +124,7 @@ func (d *Detector) DetectMasked(y []float64, masked []int) (Result, error) {
 	solved := false
 	// CloneFactor works for dense- and sparse-backed engines alike; a
 	// nil clone (degenerate engine) falls through to the one-shot solve.
-	if chol := d.cloneFactorForMask(opts); chol != nil {
+	if chol := d.cloneFactorForMask(); chol != nil {
 		row := make([]float64, h.Cols())
 		ok := true
 		for i := range mask {
@@ -180,7 +179,7 @@ func (d *Detector) DetectMasked(y []float64, masked []int) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		xHat, err = solve(sub, yKept, opts.Solver)
+		xHat, err = matrix.SolveNormalEquations(sub, yKept, matrix.LeastSquaresOptions{})
 		if err != nil {
 			return Result{}, fmt.Errorf("core: masked volume estimate: %w", err)
 		}
@@ -206,9 +205,9 @@ func (d *Detector) DetectMasked(y []float64, masked []int) (Result, error) {
 
 // cloneFactorForMask returns an independently downdatable copy of the
 // engine's Gram factor for the masked path, or nil when the engine has
-// no factor to downdate (non-Cholesky solver, degenerate H).
-func (d *Detector) cloneFactorForMask(opts Options) matrix.UpdatableFactor {
-	if opts.Solver != SolverCholesky || d.ls == nil {
+// no factor to downdate (degenerate H).
+func (d *Detector) cloneFactorForMask() matrix.UpdatableFactor {
+	if d.ls == nil {
 		return nil
 	}
 	return d.ls.CloneFactor()

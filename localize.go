@@ -127,7 +127,7 @@ func (s *System) localizeLocked(cfg *LocalizeConfig, rep *Report) (probe.Outcome
 	if inj == nil {
 		inj = probe.NewNetworkInjector(s.network, rand.New(rand.NewSource(cfg.Seed+1)))
 	}
-	loc, err := probe.New(s.fcm, inj, probe.Config{
+	loc, err := probe.New(s.churnMgr.FCM(), inj, probe.Config{
 		MaxProbes:     cfg.MaxProbes,
 		Volume:        cfg.Volume,
 		Deadline:      cfg.Deadline,
@@ -153,10 +153,11 @@ func (s *System) suspectSet(cfg *LocalizeConfig, rep *Report) ([]SwitchID, []flo
 	// anomaly shows up hard in the misfitting switch's slice-local
 	// residual — and vice versa on windows where only the full engine
 	// ran. Taking the max keeps whichever engine actually saw the mass.
+	f := s.churnMgr.FCM()
 	var ruleErr []float64
 	fold := func(rid int, d float64) {
 		if ruleErr == nil {
-			ruleErr = make([]float64, s.fcm.NumRules())
+			ruleErr = make([]float64, f.NumRules())
 		}
 		if d < 0 {
 			d = -d
@@ -181,9 +182,10 @@ func (s *System) suspectSet(cfg *LocalizeConfig, rep *Report) ([]SwitchID, []flo
 	}
 	if rep.Sliced != nil {
 		// Per-slice deltas are positional over each slice's RuleRows.
-		bySwitch := make(map[SwitchID]*Slice, len(s.slices))
-		for i := range s.slices {
-			bySwitch[s.slices[i].Switch] = &s.slices[i]
+		slices := s.churnMgr.Slices()
+		bySwitch := make(map[SwitchID]*Slice, len(slices))
+		for i := range slices {
+			bySwitch[slices[i].Switch] = &slices[i]
 		}
 		for _, sr := range rep.Sliced.PerSwitch {
 			sl := bySwitch[sr.Switch]
@@ -204,7 +206,7 @@ func (s *System) suspectSet(cfg *LocalizeConfig, rep *Report) ([]SwitchID, []flo
 	}
 	var ranked []SwitchID
 	if ruleErr != nil {
-		ranked = core.TopSuspects(core.AttributeDelta(s.fcm, ruleErr), k)
+		ranked = core.TopSuspects(core.AttributeDelta(f, ruleErr), k)
 	}
 	if len(rep.Suspects) == 0 {
 		return ranked, ruleErr

@@ -11,15 +11,12 @@ import (
 	"foces/internal/telemetry"
 )
 
-// This file is the unified detection entry point. Historically System
-// grew five Detect* methods (Detect, DetectSliced, DetectWithMissing,
-// DetectSlicedWithMissing, DetectReconciled) whose correct choice
-// depended on collection-plane state the caller had to inspect by
-// hand. System.Run collapses them: describe one observation window —
-// counters, which switches failed to report, which baseline epoch the
-// window was snapshotted under — and Run dispatches to the right
-// engine combination and returns a single Report. The legacy methods
-// survive as thin deprecated wrappers over Run.
+// This file is the System's detection entry point. Describe one
+// observation window — counters, which switches failed to report,
+// which baseline epoch the window was snapshotted under — and Run
+// dispatches to the right engine combination and returns a single
+// Report, so callers never pick among full, sliced, missing-switch
+// and reconciled detection by hand.
 
 // Mode selects which detection engines a Run executes.
 type Mode int
@@ -67,10 +64,8 @@ const (
 
 // RunOptions is everything that shapes how a window is detected and
 // diagnosed, separate from the measurements themselves. It is the one
-// option surface behind Run: each deprecated Detect* wrapper is now a
-// one-line translation of its legacy signature into a RunOptions
-// value, and new knobs (like Localize) land here once instead of
-// fanning out across five method signatures.
+// option surface behind Run: new knobs (like Localize) land here once
+// and reach every dispatch path.
 type RunOptions struct {
 	// Missing lists switches whose counters are unusable this window
 	// (unreachable, quarantined, reset). A non-nil slice — even an
@@ -362,9 +357,6 @@ const defaultRecentRuns = 64
 //			Epoch:   windowEpoch, // oldest straddled epoch, or sys.Epoch()
 //		},
 //	})
-//
-// Run is the supported entry point; the Detect* methods are deprecated
-// wrappers over it.
 func (s *System) Run(obs Observation) (Report, error) {
 	s.baselineMu.RLock()
 	defer s.baselineMu.RUnlock()
@@ -412,8 +404,10 @@ func (s *System) runLocked(obs Observation, runner SlicedRunner) (Report, error)
 	}
 	runFull := obs.Mode == ModeAuto || obs.Mode == ModeFull
 	runSliced := obs.Mode == ModeAuto || obs.Mode == ModeSliced
+	// The read lock pins one baseline generation for the whole window.
+	f, sliced := s.churnMgr.FCM(), s.churnMgr.Sliced()
 	if runner == nil {
-		runner = s.sliced
+		runner = sliced
 	}
 
 	switch {
@@ -428,7 +422,7 @@ func (s *System) runLocked(obs Observation, runner SlicedRunner) (Report, error)
 		}
 		if runFull {
 			t0 := time.Now()
-			pr, err := core.DetectWithMissing(s.fcm, obs.Counters, obs.Missing, opts)
+			pr, err := core.DetectWithMissing(f, obs.Counters, obs.Missing, opts)
 			if err != nil {
 				return Report{}, err
 			}
@@ -442,8 +436,8 @@ func (s *System) runLocked(obs Observation, runner SlicedRunner) (Report, error)
 			// Like the cold full path above, the missing path reads
 			// only the rows it checks, so counters outside the rule
 			// space are ignored rather than rejected.
-			pooledY = s.fcm.CounterVectorInto(s.getVector(), obs.Counters)
-			so, err := s.sliced.DetectMissing(s.fcm, pooledY, obs.Missing, opts)
+			pooledY = f.CounterVectorInto(s.getVector(), obs.Counters)
+			so, err := sliced.DetectMissing(f, pooledY, obs.Missing, opts)
 			if err != nil {
 				return Report{}, err
 			}
@@ -465,14 +459,14 @@ func (s *System) runLocked(obs Observation, runner SlicedRunner) (Report, error)
 		// short: the new rows are masked anyway, so zero-pad rather
 		// than reject. (The clean path never pads — a short vector
 		// there means a stale caller and must error.)
-		if space := s.fcm.NumRules(); len(y) < space {
+		if space := f.NumRules(); len(y) < space {
 			padded := make([]float64, space)
 			copy(padded, y)
 			y = padded
 		}
 		rep.MaskedRows = s.AffectedSince(obs.Epoch)
 		if runFull {
-			d, err := s.fullDetector()
+			d, err := s.churnMgr.Full()
 			if err != nil {
 				return Report{}, err
 			}
@@ -506,7 +500,7 @@ func (s *System) runLocked(obs Observation, runner SlicedRunner) (Report, error)
 			pooledY = y
 		}
 		if runFull {
-			d, err := s.fullDetector()
+			d, err := s.churnMgr.Full()
 			if err != nil {
 				return Report{}, err
 			}
@@ -564,6 +558,7 @@ func (s *System) RunBatch(obs []Observation) ([]Report, error) {
 	s.baselineMu.RLock()
 	defer s.baselineMu.RUnlock()
 	epoch := s.Epoch()
+	sliced := s.churnMgr.Sliced()
 	// Per-call scratch (group tables, vector index, full-stage results)
 	// is recycled across calls; only the returned reports slice is
 	// allocated. Pooled counter vectors are released with it.
@@ -598,7 +593,7 @@ func (s *System) RunBatch(obs []Observation) ([]Report, error) {
 	}
 	// Shared full-engine stage: one multi-RHS solve per option group.
 	if len(sc.groups) > 0 {
-		d, err := s.fullDetector()
+		d, err := s.churnMgr.Full()
 		if err != nil {
 			return nil, err
 		}
@@ -643,7 +638,7 @@ func (s *System) RunBatch(obs []Observation) ([]Report, error) {
 				opts = s.opts
 			}
 			t0 := time.Now()
-			so, err := s.sliced.DetectWithOptions(sc.vectors[i], opts)
+			so, err := sliced.DetectWithOptions(sc.vectors[i], opts)
 			if err != nil {
 				return nil, fmt.Errorf("foces: batch window %d: %w", i, err)
 			}
@@ -759,13 +754,14 @@ func (s *System) observationVector(obs Observation) (y []float64, pooled bool, e
 	case obs.Vector != nil:
 		return obs.Vector, false, nil
 	case obs.Counters != nil:
-		space := s.fcm.NumRules()
+		f := s.churnMgr.FCM()
+		space := f.NumRules()
 		for id := range obs.Counters {
 			if id < 0 || id >= space {
 				return nil, false, fmt.Errorf("foces: counter for rule %d outside the baseline's %d-rule space (snapshot from a different rule generation?)", id, space)
 			}
 		}
-		return s.fcm.CounterVectorInto(s.getVector(), obs.Counters), true, nil
+		return f.CounterVectorInto(s.getVector(), obs.Counters), true, nil
 	}
 	return nil, false, fmt.Errorf("foces: observation carries no counters (set Counters or Vector)")
 }

@@ -33,18 +33,15 @@ type System struct {
 	layout   *HeaderLayout
 	control  *Controller
 	network  *Network
-	fcm      *FCM
-	slices   []Slice
-	detector *Detector
-	sliced   *SlicedDetector
 
-	// churnMgr owns the epoch-versioned baseline; fcm/slices/sliced are
-	// views of its current generation. ruleHash fingerprints the
-	// controller rule set the baseline was built from, backing the
-	// RebuildBaseline no-op fast path.
-	churnMgr  *churn.Manager
-	ruleHash  uint64
-	hashValid bool
+	// churnMgr is the only owner of the epoch-versioned baseline (FCM,
+	// slices and the prepared engines): every reader goes through its
+	// locking accessors, because a copy held here would race with
+	// ObserveUpdate. ruleHash fingerprints the controller rule set the
+	// baseline was built from, backing the RebuildBaseline no-op fast
+	// path.
+	churnMgr *churn.Manager
+	ruleHash uint64
 
 	// baselineMu serializes baseline swaps (ObserveUpdate /
 	// RebuildBaseline) against in-flight detections: Serve consumes
@@ -160,8 +157,8 @@ func ruleSetHash(rules []Rule, space int) uint64 {
 }
 
 // rebuildBaseline regenerates everything derived from the controller's
-// current rule set: the churn manager (FCM, slices, prepared sliced
-// engine) and the full-matrix engine.
+// current rule set: a fresh churn manager (FCM, slices, prepared sliced
+// engine) with its full-matrix engine built eagerly.
 func (s *System) rebuildBaseline() error {
 	mgr, err := churn.NewManager(s.topology, s.layout, s.control.Rules(), s.control.RuleSpace(), s.opts, churn.Config{})
 	if err != nil {
@@ -170,17 +167,11 @@ func (s *System) rebuildBaseline() error {
 	if s.detTel != nil || s.churnTel != nil {
 		mgr.SetTelemetry(s.detTel, s.churnTel)
 	}
-	detector, err := mgr.Full()
-	if err != nil {
+	if _, err := mgr.Full(); err != nil {
 		return fmt.Errorf("foces: detector: %w", err)
 	}
 	s.churnMgr = mgr
-	s.fcm = mgr.FCM()
-	s.slices = mgr.Slices()
-	s.detector = detector
-	s.sliced = mgr.Sliced()
 	s.ruleHash = ruleSetHash(s.control.Rules(), s.control.RuleSpace())
-	s.hashValid = true
 	return nil
 }
 
@@ -198,8 +189,7 @@ func (s *System) rebuildBaseline() error {
 func (s *System) RebuildBaseline() error {
 	s.baselineMu.Lock()
 	defer s.baselineMu.Unlock()
-	if s.hashValid && s.fcm != nil &&
-		ruleSetHash(s.control.Rules(), s.control.RuleSpace()) == s.ruleHash {
+	if ruleSetHash(s.control.Rules(), s.control.RuleSpace()) == s.ruleHash {
 		return nil
 	}
 	return s.rebuildBaseline()
@@ -212,7 +202,7 @@ func (s *System) ObserveCountersFor(rng *rand.Rand, tm TrafficMatrix) ([]float64
 	if _, err := s.network.Run(rng, tm); err != nil {
 		return nil, err
 	}
-	return s.fcm.CounterVector(s.network.CollectCounters()), nil
+	return s.churnMgr.FCM().CounterVector(s.network.CollectCounters()), nil
 }
 
 // Topology returns the system's topology.
@@ -227,11 +217,11 @@ func (s *System) Controller() *Controller { return s.control }
 // Network returns the simulated data plane.
 func (s *System) Network() *Network { return s.network }
 
-// FCM returns the flow-counter matrix.
-func (s *System) FCM() *FCM { return s.fcm }
+// FCM returns the current generation's flow-counter matrix.
+func (s *System) FCM() *FCM { return s.churnMgr.FCM() }
 
-// Slices returns the per-switch sub-FCMs.
-func (s *System) Slices() []Slice { return s.slices }
+// Slices returns the current generation's per-switch sub-FCMs.
+func (s *System) Slices() []Slice { return s.churnMgr.Slices() }
 
 // ObserveCounters simulates one collection interval of uniform traffic
 // and returns the counter vector Y' (indexed by rule ID). Counters are
@@ -241,7 +231,7 @@ func (s *System) ObserveCounters(rng *rand.Rand, packetsPerFlow uint64) ([]float
 	if _, err := s.network.Run(rng, dataplane.UniformTraffic(s.topology, packetsPerFlow)); err != nil {
 		return nil, err
 	}
-	return s.fcm.CounterVector(s.network.CollectCounters()), nil
+	return s.churnMgr.FCM().CounterVector(s.network.CollectCounters()), nil
 }
 
 // CounterVector converts a rule-ID keyed counter snapshot (e.g. from a
@@ -252,101 +242,30 @@ func (s *System) ObserveCounters(rng *rand.Rand, packetsPerFlow uint64) ([]float
 // silently dropping the sample would hide exactly the inconsistency
 // FOCES exists to detect.
 func (s *System) CounterVector(counters map[int]uint64) ([]float64, error) {
-	space := s.fcm.NumRules()
+	f := s.churnMgr.FCM()
+	space := f.NumRules()
 	for id := range counters {
 		if id < 0 || id >= space {
 			return nil, fmt.Errorf("foces: counter for rule %d outside the baseline's %d-rule space (snapshot from a different rule generation?)", id, space)
 		}
 	}
-	return s.fcm.CounterVector(counters), nil
+	return f.CounterVector(counters), nil
 }
 
-// fullDetector returns the Algorithm 1 engine for the current epoch.
-// After ApplyUpdate the engine is stale and rebuilt lazily here (the
-// churn manager caches it per epoch), keeping the update path itself
-// free of the O(n³) global factorization. The manager's cache is the
-// only store — writing a System field here would race with the
-// concurrent detections sharing baselineMu's read side.
-func (s *System) fullDetector() (*Detector, error) {
-	if s.churnMgr == nil {
-		return s.detector, nil
-	}
-	return s.churnMgr.Full()
-}
-
-// Detect runs Algorithm 1 on the counter vector via the prepared
-// engine.
-//
-// Deprecated: use Run with an Observation in ModeFull; Run dispatches
-// every detection path through one entry point and returns a unified
-// Report. Detect remains as a thin wrapper.
-func (s *System) Detect(y []float64, opts DetectOptions) (Result, error) {
-	rep, err := s.Run(Observation{Vector: y, RunOptions: RunOptions{Epoch: s.Epoch(), Mode: ModeFull, Options: opts}})
-	if err != nil {
-		return Result{}, err
-	}
-	return *rep.Full, nil
-}
-
-// DetectSliced runs Algorithm 2 with per-switch localization via the
-// prepared sliced engine.
-//
-// Deprecated: use Run with an Observation in ModeSliced. DetectSliced
-// remains as a thin wrapper.
-func (s *System) DetectSliced(y []float64, opts DetectOptions) (SlicedOutcome, error) {
-	rep, err := s.Run(Observation{Vector: y, RunOptions: RunOptions{Epoch: s.Epoch(), Mode: ModeSliced, Options: opts}})
-	if err != nil {
-		return SlicedOutcome{}, err
-	}
-	return *rep.Sliced, nil
-}
-
-// DetectWithMissing runs Algorithm 1 restricted to reachable switches:
-// the rule rows of missing (unreachable, quarantined or counter-reset)
-// switches are dropped and consistency is checked on everything still
-// observable.
-//
-// Deprecated: use Run with Observation.Missing set (non-nil).
-// DetectWithMissing remains as a thin wrapper.
-func (s *System) DetectWithMissing(counters map[int]uint64, missing []SwitchID, opts DetectOptions) (PartialResult, error) {
-	if missing == nil {
-		missing = []SwitchID{} // non-nil selects Run's partial path
-	}
-	rep, err := s.Run(Observation{Counters: counters, RunOptions: RunOptions{Missing: missing, Epoch: s.Epoch(), Mode: ModeFull, Options: opts}})
-	if err != nil {
-		return PartialResult{}, err
-	}
-	return *rep.Partial, nil
-}
-
-// DetectSlicedWithMissing runs Algorithm 2 restricted to reachable
-// switches: missing switches' slices are skipped and surviving slices
-// drop rows hosted on missing switches.
-//
-// Deprecated: use Run with Observation.Missing set (non-nil) in
-// ModeSliced. DetectSlicedWithMissing remains as a thin wrapper.
-func (s *System) DetectSlicedWithMissing(counters map[int]uint64, missing []SwitchID, opts DetectOptions) (SlicedOutcome, error) {
-	if missing == nil {
-		missing = []SwitchID{}
-	}
-	rep, err := s.Run(Observation{Counters: counters, RunOptions: RunOptions{Missing: missing, Epoch: s.Epoch(), Mode: ModeSliced, Options: opts}})
-	if err != nil {
-		return SlicedOutcome{}, err
-	}
-	return *rep.Sliced, nil
-}
-
-// Detector returns the prepared baseline detection engine (rebuilt
-// lazily if rule updates made it stale).
+// Detector returns the prepared Algorithm 1 engine for the current
+// epoch, rebuilding it lazily if rule updates made it stale. It returns
+// nil when that rebuild fails; Run reports the error.
 func (s *System) Detector() *Detector {
-	if d, err := s.fullDetector(); err == nil {
-		return d
+	d, err := s.churnMgr.Full()
+	if err != nil {
+		return nil
 	}
-	return s.detector
+	return d
 }
 
-// SlicedDetector returns the prepared sliced detection engine.
-func (s *System) SlicedDetector() *SlicedDetector { return s.sliced }
+// SlicedDetector returns the current epoch's prepared Algorithm 2
+// engine.
+func (s *System) SlicedDetector() *SlicedDetector { return s.churnMgr.Sliced() }
 
 // ApplyUpdate incrementally folds a batch of rule changes — already
 // applied to the controller — into the detection baseline, advancing
@@ -354,7 +273,7 @@ func (s *System) SlicedDetector() *SlicedDetector { return s.sliced }
 // whose forwarding touched the changed switches are re-traced, and
 // per-switch engines are reused or rank-one-repaired where the slice
 // structure permits. The full-matrix engine goes stale and is rebuilt
-// lazily on the next Detect. Prefer the AddRule/RemoveRule/ModifyRule
+// lazily on the next Run. Prefer the AddRule/RemoveRule/ModifyRule
 // wrappers, which drive the controller and this method together.
 func (s *System) ApplyUpdate(events []RuleChange) (ChurnUpdate, error) {
 	for _, e := range events {
@@ -395,11 +314,7 @@ func (s *System) ObserveUpdate(events []RuleChange) (ChurnUpdate, error) {
 	if err != nil {
 		return ChurnUpdate{}, err
 	}
-	s.fcm = s.churnMgr.FCM()
-	s.slices = s.churnMgr.Slices()
-	s.sliced = s.churnMgr.Sliced()
 	s.ruleHash = ruleSetHash(s.control.Rules(), s.control.RuleSpace())
-	s.hashValid = true
 	return u, nil
 }
 
@@ -459,30 +374,6 @@ func (s *System) ChurnManager() *churn.Manager { return s.churnMgr }
 // from that epoch must mask.
 func (s *System) AffectedSince(since uint64) []int { return s.churnMgr.AffectedSince(since) }
 
-// DetectReconciled runs sliced detection on a counter window whose
-// baseline snapshot was taken at epoch `from`: rule rows changed by the
-// updates the window straddles are masked out of the equation system,
-// so mid-window rule churn is reconciled instead of read as a
-// forwarding anomaly.
-//
-// Deprecated: use Run with Observation.Epoch set to the window's
-// snapshot epoch. DetectReconciled remains as a thin wrapper.
-func (s *System) DetectReconciled(y []float64, from uint64) (SlicedOutcome, error) {
-	// A pre-churn window is legitimately short of newly added rules;
-	// Run's clean path (from == current epoch) rejects short vectors, so
-	// pad here to preserve the legacy contract on both paths.
-	if space := s.fcm.NumRules(); len(y) < space {
-		padded := make([]float64, space)
-		copy(padded, y)
-		y = padded
-	}
-	rep, err := s.Run(Observation{Vector: y, RunOptions: RunOptions{Epoch: from, Mode: ModeSliced}})
-	if err != nil {
-		return SlicedOutcome{}, err
-	}
-	return *rep.Sliced, nil
-}
-
 // InjectRandomAttack draws, applies and returns a random attack of the
 // given kind (for experiments and drills). Revert with
 // Attack.Revert(sys.Network()).
@@ -500,7 +391,7 @@ func (s *System) InjectRandomAttack(rng *rand.Rand, kind AttackKind) (Attack, er
 // AnalyzeDetectability evaluates a hypothetical anomaly against this
 // system's FCM.
 func (s *System) AnalyzeDetectability(hPrime []int) (Detectability, error) {
-	return core.AnalyzeDetectability(s.fcm, hPrime)
+	return core.AnalyzeDetectability(s.churnMgr.FCM(), hPrime)
 }
 
 // SaveBaseline writes the system's detection baseline (topology,
@@ -513,6 +404,7 @@ func (s *System) SaveBaseline(w io.Writer) error {
 
 // String summarizes the system.
 func (s *System) String() string {
+	f := s.churnMgr.FCM()
 	return fmt.Sprintf("foces.System(%s, %v, %d flows, %d rules, %d slices)",
-		s.topology.Name(), s.control.Mode(), s.fcm.NumFlows(), s.fcm.NumRules(), len(s.slices))
+		s.topology.Name(), s.control.Mode(), f.NumFlows(), f.NumRules(), len(s.churnMgr.Slices()))
 }

@@ -94,17 +94,14 @@ func TestSystemLiveUpdates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sys.Detect(y, foces.DetectOptions{})
+		rep, err := sys.Run(foces.Observation{Vector: y, RunOptions: foces.RunOptions{Epoch: sys.Epoch()}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Anomalous {
-			t.Fatalf("round %d: clean traffic flagged by full detection (index %g)", round, res.Index)
+		if rep.Full.Anomalous {
+			t.Fatalf("round %d: clean traffic flagged by full detection (index %g)", round, rep.Index)
 		}
-		out, err := sys.DetectSliced(y, foces.DetectOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		out := rep.Sliced
 		if out.Anomalous {
 			t.Fatalf("round %d: clean traffic flagged by sliced detection: %v", round, out.Suspects)
 		}
@@ -137,6 +134,50 @@ func TestSystemLiveUpdates(t *testing.T) {
 	}
 }
 
+// TestBaselineReadersDuringChurn reads the baseline through every
+// System accessor while another goroutine applies live rule updates.
+// The churn manager is the baseline's only owner, so under -race any
+// System-side copy of its state shows up as a data race here.
+func TestBaselineReadersDuringChurn(t *testing.T) {
+	sys := newLinearSystem(t)
+	victim := sys.Controller().Rules()[0]
+	counters := map[int]uint64{victim.ID: 1}
+	done := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if _, err := sys.CounterVector(counters); err != nil {
+				t.Error(err)
+				return
+			}
+			if sys.FCM() == nil || len(sys.Slices()) == 0 || sys.SlicedDetector() == nil || sys.Detector() == nil || sys.String() == "" {
+				t.Error("baseline accessor returned an empty value")
+				return
+			}
+		}
+	}()
+	for round := 0; round < 20; round++ {
+		r, _, err := sys.AddRule(victim.Switch, victim.Priority+1, victim.Match, victim.Action)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if _, err := sys.RemoveRule(r.ID); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+	close(done)
+	<-readerDone
+	if got := sys.Epoch(); got != 40 {
+		t.Fatalf("epoch %d after 20 add/remove rounds, want 40", got)
+	}
+}
+
 // TestSystemDetectReconciled exercises the System-level straddling
 // window path end to end.
 func TestSystemDetectReconciled(t *testing.T) {
@@ -163,8 +204,9 @@ func TestSystemDetectReconciled(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Also add a rule mid-window, so the rule space grows past the old
-	// window's length: DetectReconciled must zero-pad yOld rather than
-	// reject it (the new row is masked, so the padding never matters).
+	// window's length: the reconciled path must zero-pad yOld rather
+	// than reject it (the new row is masked, so the padding never
+	// matters).
 	if _, _, err := sys.AddRule(victim.Switch, victim.Priority+1, victim.Match, foces.Action{Type: foces.ActionDrop}); err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +220,11 @@ func TestSystemDetectReconciled(t *testing.T) {
 	// The old window's counters include traffic matched under the old
 	// generation on exactly the affected rows; reconciled detection
 	// masks them and stays clean, where plain sliced detection may not.
-	rec, err := sys.DetectReconciled(yOld, from)
+	rep, err := sys.Run(foces.Observation{Vector: yOld, RunOptions: foces.RunOptions{Epoch: from, Mode: foces.ModeSliced}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Anomalous {
-		t.Fatalf("reconciled detection flagged a straddling window: %v", rec.Suspects)
+	if rep.Path != foces.PathReconciled || rep.Anomalous {
+		t.Fatalf("reconciled detection flagged a straddling window: path %q, suspects %v", rep.Path, rep.Suspects)
 	}
 }

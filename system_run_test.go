@@ -8,36 +8,22 @@ import (
 	"testing"
 
 	"foces"
+	"foces/internal/core"
 	"foces/internal/telemetry"
 )
 
-// The Run parity suite pins the unified entry point to the legacy
-// Detect* methods: every deprecated wrapper delegates through Run, and
-// every path Run dispatches must reproduce the engine outcome the
-// corresponding legacy call produced.
+// The Run parity suite pins the unified entry point to the prepared
+// engines it dispatches to: on every path, the outcome a Report carries
+// must equal, field for field, what a direct call on the System's
+// current engines returns for the same window.
 
-func sameResult(t *testing.T, name string, a, b foces.Result) {
+// sameOutcome fails unless the two engine outcomes are deeply equal.
+// %#v walks every exported field and, unlike JSON, represents the +Inf
+// index an attacked window can produce.
+func sameOutcome(t *testing.T, name string, run, engine any) {
 	t.Helper()
-	if a.Anomalous != b.Anomalous || a.Index != b.Index || a.ErrMax != b.ErrMax || a.ErrMed != b.ErrMed {
-		t.Fatalf("%s diverged: (%v, %v) vs (%v, %v)", name, a.Anomalous, a.Index, b.Anomalous, b.Index)
-	}
-	if !reflect.DeepEqual(a.Delta, b.Delta) {
-		t.Fatalf("%s delta diverged", name)
-	}
-}
-
-func sameSliced(t *testing.T, name string, a, b foces.SlicedOutcome) {
-	t.Helper()
-	if a.Anomalous != b.Anomalous || !reflect.DeepEqual(a.Suspects, b.Suspects) {
-		t.Fatalf("%s diverged: suspects %v vs %v", name, a.Suspects, b.Suspects)
-	}
-	if len(a.PerSwitch) != len(b.PerSwitch) {
-		t.Fatalf("%s per-switch count diverged: %d vs %d", name, len(a.PerSwitch), len(b.PerSwitch))
-	}
-	for i := range a.PerSwitch {
-		if a.PerSwitch[i].Switch != b.PerSwitch[i].Switch || a.PerSwitch[i].Result.Index != b.PerSwitch[i].Result.Index {
-			t.Fatalf("%s slice %d diverged", name, i)
-		}
+	if !reflect.DeepEqual(run, engine) {
+		t.Fatalf("%s: Run diverged from the engine:\nrun:    %#v\nengine: %#v", name, run, engine)
 	}
 }
 
@@ -55,21 +41,21 @@ func TestRunCleanParity(t *testing.T) {
 	if rep.Path != foces.PathClean || rep.Full == nil || rep.Sliced == nil || rep.Partial != nil {
 		t.Fatalf("clean dispatch wrong: path=%q full=%v sliced=%v", rep.Path, rep.Full != nil, rep.Sliced != nil)
 	}
-	legacyFull, err := sys.Detect(y, foces.DetectOptions{})
+	full, err := sys.Detector().Detect(y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacySliced, err := sys.DetectSliced(y, foces.DetectOptions{})
+	sliced, err := sys.SlicedDetector().Detect(y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, "clean full", *rep.Full, legacyFull)
-	sameSliced(t, "clean sliced", *rep.Sliced, legacySliced)
-	if rep.Index != legacyFull.Index {
-		t.Fatalf("Report.Index %v != full index %v", rep.Index, legacyFull.Index)
+	sameOutcome(t, "clean full", *rep.Full, full)
+	sameOutcome(t, "clean sliced", *rep.Sliced, sliced)
+	if rep.Index != full.Index {
+		t.Fatalf("Report.Index %v != full index %v", rep.Index, full.Index)
 	}
-	if rep.SlicedIndex != legacySliced.MaxIndex() {
-		t.Fatalf("Report.SlicedIndex %v != sliced max %v", rep.SlicedIndex, legacySliced.MaxIndex())
+	if rep.SlicedIndex != sliced.MaxIndex() {
+		t.Fatalf("Report.SlicedIndex %v != sliced max %v", rep.SlicedIndex, sliced.MaxIndex())
 	}
 	if rep.Timings.Total <= 0 || rep.Timings.Total < rep.Timings.Full || rep.Timings.Total < rep.Timings.Sliced {
 		t.Fatalf("implausible timings: %+v", rep.Timings)
@@ -91,21 +77,18 @@ func TestRunMissingParity(t *testing.T) {
 	if rep.Path != foces.PathMissing || rep.Partial == nil || rep.Sliced == nil || rep.Full != nil {
 		t.Fatalf("missing dispatch wrong: path=%q", rep.Path)
 	}
-	legacyPartial, err := sys.DetectWithMissing(counters, missing, foces.DetectOptions{})
+	partial, err := core.DetectWithMissing(sys.FCM(), counters, missing, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacySliced, err := sys.DetectSlicedWithMissing(counters, missing, foces.DetectOptions{})
+	sliced, err := sys.SlicedDetector().DetectMissing(sys.FCM(), sys.FCM().CounterVector(counters), missing, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, "missing full", rep.Partial.Result, legacyPartial.Result)
-	if !reflect.DeepEqual(rep.Partial.MissingRules, legacyPartial.MissingRules) {
-		t.Fatal("missing rule rows diverged")
-	}
-	sameSliced(t, "missing sliced", *rep.Sliced, legacySliced)
-	if rep.Index != legacyPartial.Result.Index {
-		t.Fatalf("Report.Index %v != partial index %v", rep.Index, legacyPartial.Result.Index)
+	sameOutcome(t, "missing full", *rep.Partial, partial)
+	sameOutcome(t, "missing sliced", *rep.Sliced, sliced)
+	if rep.Index != partial.Result.Index {
+		t.Fatalf("Report.Index %v != partial index %v", rep.Index, partial.Result.Index)
 	}
 }
 
@@ -140,14 +123,26 @@ func TestRunReconciledParity(t *testing.T) {
 	if rep.EpochLag != sys.Epoch()-from {
 		t.Fatalf("EpochLag = %d, want %d", rep.EpochLag, sys.Epoch()-from)
 	}
-	if !reflect.DeepEqual(rep.MaskedRows, sys.AffectedSince(from)) {
+	masked := sys.AffectedSince(from)
+	if !reflect.DeepEqual(rep.MaskedRows, masked) {
 		t.Fatal("MaskedRows diverged from AffectedSince")
 	}
-	legacy, err := sys.DetectReconciled(yOld, from)
+	// The pre-churn window is short of the added rule's row; Run pads it
+	// with zeros (the row is masked), and so does the engine call here.
+	padded := make([]float64, sys.FCM().NumRules())
+	if copy(padded, yOld) == len(padded) {
+		t.Fatal("rule space did not grow past the pre-churn window")
+	}
+	full, err := sys.Detector().DetectMasked(padded, masked)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameSliced(t, "reconciled sliced", *rep.Sliced, legacy)
+	sliced, err := sys.SlicedDetector().DetectMasked(padded, masked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameOutcome(t, "reconciled full", *rep.Full, full)
+	sameOutcome(t, "reconciled sliced", *rep.Sliced, sliced)
 	if rep.Anomalous {
 		t.Fatalf("reconciled window flagged: %v", rep.Suspects)
 	}
@@ -264,5 +259,35 @@ func TestRunTelemetry(t *testing.T) {
 	}
 	if runs != 3 {
 		t.Fatalf("foces_system_runs_total = %d, want 3", runs)
+	}
+
+	// One window on each of the other paths lands exactly one event
+	// carrying that path.
+	counters := sys.Network().CollectCounters()
+	missing := foces.Observation{Counters: counters, RunOptions: foces.RunOptions{Missing: []foces.SwitchID{sys.Slices()[0].Switch}}}
+	expectOneEvent(t, sys, missing, foces.PathMissing)
+	from := sys.Epoch()
+	if _, err := sys.RemoveRule(sys.Controller().Rules()[0].ID); err != nil {
+		t.Fatal(err)
+	}
+	expectOneEvent(t, sys, foces.Observation{Vector: y, RunOptions: foces.RunOptions{Epoch: from}}, foces.PathReconciled)
+	expectOneEvent(t, sys, foces.Observation{Counters: counters, RunOptions: foces.RunOptions{Epoch: sys.Epoch()}}, foces.PathClean)
+}
+
+// expectOneEvent runs obs and checks that it appended exactly one
+// recent-ring event, on the given path.
+func expectOneEvent(t *testing.T, sys *foces.System, obs foces.Observation, path string) {
+	t.Helper()
+	before := len(sys.RecentRuns())
+	rep, err := sys.Run(obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := sys.RecentRuns()
+	if len(events) != before+1 {
+		t.Fatalf("%s run: ring went from %d to %d events", path, before, len(events))
+	}
+	if ev := events[len(events)-1]; rep.Path != path || ev.Path != path || ev.ElapsedNS <= 0 {
+		t.Fatalf("%s run: report path %q, event %+v", path, rep.Path, ev)
 	}
 }
